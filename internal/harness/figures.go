@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"axmemo/internal/memo"
 	"axmemo/internal/obs"
@@ -157,20 +158,66 @@ type Suite struct {
 }
 
 // cellKey addresses one cached simulation: figures share baselines and
-// standard-config runs through this key.
+// standard-config runs through this key.  The name stands for the
+// truncation override and the fault plan (a slice and a pointer, not
+// comparable); every other result-affecting knob is a field, because a
+// name need not change with, say, a cycle or guard budget.  The key is a
+// comparable struct, so a lookup hashes nothing beyond what the map does.
 type cellKey struct {
 	workload string
 	config   string
+
+	mode             Mode
+	l1KB, l2KB       int
+	totalL2CacheKB   int
+	crcWidth         uint
+	crcBytesPerCycle int
+	monitorOff       bool
+	trackCollisions  bool
+	dataBytes8       bool
+	collectElemErrs  bool
+	adaptive         bool
+	guardBudget      uint64 // math.Float64bits: NaN-safe map equality
+	guardCooldown    uint64
+	maxCycles        uint64
+}
+
+// keyOf returns the cache key of workload under cfg.
+func keyOf(workload string, cfg Config) cellKey {
+	return cellKey{
+		workload:         workload,
+		config:           cfg.Name,
+		mode:             cfg.Mode,
+		l1KB:             cfg.L1KB,
+		l2KB:             cfg.L2KB,
+		totalL2CacheKB:   cfg.TotalL2CacheKB,
+		crcWidth:         cfg.CRCWidth,
+		crcBytesPerCycle: cfg.CRCBytesPerCycle,
+		monitorOff:       cfg.MonitorOff,
+		trackCollisions:  cfg.TrackCollisions,
+		dataBytes8:       cfg.DataBytes8,
+		collectElemErrs:  cfg.CollectElemErrors,
+		adaptive:         cfg.Adaptive,
+		guardBudget:      math.Float64bits(cfg.GuardBudget),
+		guardCooldown:    cfg.GuardCooldown,
+		maxCycles:        cfg.MaxCycles,
+	}
 }
 
 // cell is one cached simulation with once-semantics: whichever caller
 // arrives first runs it, everyone else blocks on the Once and reads the
 // same result.
 type cell struct {
-	once     sync.Once
-	baseline bool
-	res      *Result
-	err      error
+	once sync.Once
+	res  *Result
+	err  error
+	// ok is set once the cell has resolved without error: the
+	// non-blocking check behind Response.
+	ok atomic.Bool
+	// resp is the serving layer's encoding of res, rendered at most once
+	// (respOnce) and kept for the cell's lifetime.
+	respOnce sync.Once
+	resp     []byte
 }
 
 // NewSuite prepares a suite at the given input scale.
@@ -203,11 +250,11 @@ func (s *Suite) pidFor(key cellKey) int {
 }
 
 // getCell returns the cache cell for key, creating it if needed.
-func (s *Suite) getCell(key cellKey, baseline bool) *cell {
+func (s *Suite) getCell(key cellKey) *cell {
 	s.mu.Lock()
 	c, ok := s.cells[key]
 	if !ok {
-		c = &cell{baseline: baseline}
+		c = &cell{}
 		s.cells[key] = c
 	}
 	s.mu.Unlock()
@@ -228,29 +275,53 @@ func (s *Suite) runCellDetail(w *workloads.Workload, cfg Config, baseline bool) 
 	if s.Engine != "" {
 		cfg.Engine = s.Engine
 	}
-	key := cellKey{workload: w.Name, config: cfg.Name}
+	key := keyOf(w.Name, cfg)
 	if s.Obs != nil {
 		cfg.Obs = s.Obs
 		cfg.ObsPID = s.pidFor(key)
 	}
-	c := s.getCell(key, baseline)
+	c := s.getCell(key)
 	executed := false
 	c.once.Do(func() {
-		if s.Remote != nil {
-			outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
-				obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
-				"outcome")
-			if res, rexec, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
-				outcomes.With("served").Inc()
-				c.res = res
-				executed = rexec
-				return
-			}
-			outcomes.With("fallback").Inc()
-		}
-		c.res, executed, c.err = s.loadOrRun(w, cfg)
+		c.res, executed, c.err = s.resolve(w, cfg, baseline)
+		c.ok.Store(c.err == nil)
 	})
 	return c.res, executed, c.err
+}
+
+// resolve produces a cell's result from the tiers below the in-memory
+// cache: the remote delegate first, then the store or a local run.
+func (s *Suite) resolve(w *workloads.Workload, cfg Config, baseline bool) (*Result, bool, error) {
+	if s.Remote != nil {
+		outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
+			obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
+			"outcome")
+		if res, rexec, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
+			outcomes.With("served").Inc()
+			return res, rexec, nil
+		}
+		outcomes.With("fallback").Inc()
+	}
+	return s.loadOrRun(w, cfg)
+}
+
+// Response returns the serving layer's encoding of cell c, provided the
+// cell has already resolved without error.  It never blocks and never
+// simulates: ok is false while the cell is unknown, in flight or
+// failed, and the caller takes the RunCell path instead.  The first
+// call for a cell renders the bytes with encode; every later call
+// returns those same bytes, which live as long as the cell does.  All
+// callers of one suite must therefore pass equivalent encoders: a pure
+// function of the result and the cell.
+func (s *Suite) Response(c SweepCell, encode func(*Result) []byte) (b []byte, ok bool) {
+	s.mu.Lock()
+	ce := s.cells[c.key()]
+	s.mu.Unlock()
+	if ce == nil || !ce.ok.Load() {
+		return nil, false
+	}
+	ce.respOnce.Do(func() { ce.resp = encode(ce.res) })
+	return ce.resp, true
 }
 
 // Baseline runs (and caches) the unmemoized configuration.
@@ -641,8 +712,8 @@ func Table5() *Figure {
 func (s *Suite) SortedConfigNames(workload string) []string {
 	s.mu.Lock()
 	var names []string
-	for k, c := range s.cells {
-		if k.workload == workload && !c.baseline {
+	for k := range s.cells {
+		if k.workload == workload && k.mode != ModeBaseline {
 			names = append(names, k.config)
 		}
 	}

@@ -96,6 +96,40 @@ func TestSuiteCaching(t *testing.T) {
 	}
 }
 
+// TestSuiteResponse: Response answers only for cells that resolved
+// without error, and encodes each cell once.
+func TestSuiteResponse(t *testing.T) {
+	s := NewSuite(1)
+	encodes := 0
+	encode := func(r *Result) []byte {
+		encodes++
+		return []byte(r.Config)
+	}
+	c := SweepCell{Workload: "fft", Config: HW("L1 (4KB)", 4, 0)}
+	if _, ok := s.Response(c, encode); ok {
+		t.Fatal("unknown cell answered")
+	}
+	if _, _, err := s.RunCell(c); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if b, ok := s.Response(c, encode); !ok || string(b) != "L1 (4KB)" {
+			t.Fatalf("resolved cell: %q, %v", b, ok)
+		}
+	}
+	if encodes != 1 {
+		t.Fatalf("encoded %d times, want 1", encodes)
+	}
+	bad := c
+	bad.Config.MaxCycles = 1000
+	if _, _, err := s.RunCell(bad); err == nil {
+		t.Fatal("cycle budget not enforced")
+	}
+	if _, ok := s.Response(bad, encode); ok {
+		t.Fatal("failed cell answered")
+	}
+}
+
 // TestFig7aShape asserts the qualitative claims of Fig. 7a on the full
 // sweep: larger hardware configurations win on average, jmeint never
 // does, blackscholes leads, and the software LUT trails the hardware.

@@ -35,11 +35,10 @@ type SweepCell struct {
 
 // key returns the cell's suite-cache coordinates.
 func (c SweepCell) key() cellKey {
-	name := c.Config.Name
 	if c.Baseline {
-		name = Baseline().Name
+		return keyOf(c.Workload, Baseline())
 	}
-	return cellKey{workload: c.Workload, config: name}
+	return keyOf(c.Workload, c.Config)
 }
 
 // FigureIDs lists every sweep-driven artifact the scheduler understands,

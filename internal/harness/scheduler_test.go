@@ -45,6 +45,25 @@ func TestSweepCellsDedup(t *testing.T) {
 	}
 }
 
+// TestSweepCellNamesAreKeys: across the whole evaluation a (workload,
+// configuration name) pair always comes with the same knobs, so keying
+// cells on the knobs as well shares exactly the cells the name alone
+// did, and the figures are unchanged by it.
+func TestSweepCellNamesAreKeys(t *testing.T) {
+	cells, err := SweepCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[[2]string]bool)
+	for _, c := range cells {
+		k := c.key()
+		names[[2]string{k.workload, k.config}] = true
+	}
+	if len(names) != len(cells) {
+		t.Fatalf("%d cells under %d (workload, name) pairs: a name is reused with different knobs", len(cells), len(names))
+	}
+}
+
 // TestSweepCellsCoverEveryFigure checks the enumeration knows every
 // scheduler figure and rejects unknown ones.
 func TestSweepCellsCoverEveryFigure(t *testing.T) {

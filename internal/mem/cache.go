@@ -79,6 +79,7 @@ type Cache struct {
 	inj   *fault.Injector // nil without fault injection
 
 	lineShift uint
+	setShift  uint // log2 of the set count: the tag is the block above it
 	setMask   uint64
 }
 
@@ -89,9 +90,10 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsets := cfg.Sets()
 	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]line, nsets),
-		setMask: uint64(nsets - 1),
+		cfg:      cfg,
+		sets:     make([][]line, nsets),
+		setShift: uint(setBits(nsets)),
+		setMask:  uint64(nsets - 1),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
@@ -127,7 +129,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	blk := addr >> c.lineShift
-	return blk & c.setMask, blk >> uint(setBits(len(c.sets)))
+	return blk & c.setMask, blk >> c.setShift
 }
 
 func setBits(n int) int {

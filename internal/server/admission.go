@@ -44,11 +44,8 @@ func newAdmitClass(name string, workers, queue int) *admitClass {
 // waiting in the class's bounded queue, and records the verdict.  The
 // returned release must be called exactly once.
 func (s *Server) acquire(ctx context.Context, c *admitClass, route string) (release func(), err error) {
-	select {
-	case c.sem <- struct{}{}:
-		s.m.admission.With(route, "accepted").Inc()
-		return func() { <-c.sem }, nil
-	default:
+	if release, ok := s.tryAcquire(c, route); ok {
+		return release, nil
 	}
 	if n := c.waiting.Add(1); n > int64(c.queue) {
 		c.waiting.Add(-1)
@@ -67,6 +64,18 @@ func (s *Server) acquire(ctx context.Context, c *admitClass, route string) (rele
 	case <-ctx.Done():
 		s.m.admission.With(route, "timeout").Inc()
 		return nil, ctx.Err()
+	}
+}
+
+// tryAcquire claims a free slot in class c without queueing; ok=false
+// records no verdict, leaving the decision to a later acquire.
+func (s *Server) tryAcquire(c *admitClass, route string) (release func(), ok bool) {
+	select {
+	case c.sem <- struct{}{}:
+		s.m.admission.With(route, "accepted").Inc()
+		return func() { <-c.sem }, true
+	default:
+		return nil, false
 	}
 }
 

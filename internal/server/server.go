@@ -31,12 +31,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -501,7 +503,8 @@ type simulateRequest struct {
 // cell translates the request into a sweep cell, defaulting the
 // hardware geometry like the CLI (L1 8KB + L2 512KB).
 func (q *simulateRequest) cell() (harness.SweepCell, error) {
-	if _, err := workloads.ByName(q.Benchmark); err != nil {
+	w, err := workloads.ByName(q.Benchmark)
+	if err != nil {
 		return harness.SweepCell{}, err
 	}
 	var cfg harness.Config
@@ -525,7 +528,6 @@ func (q *simulateRequest) cell() (harness.SweepCell, error) {
 		return harness.SweepCell{}, fmt.Errorf("unknown mode %q (want hw, soft, atm or baseline)", q.Mode)
 	}
 	if q.TruncOff {
-		w, _ := workloads.ByName(q.Benchmark)
 		cfg.Trunc = make([]uint8, len(w.TruncBits))
 		cfg.Name += " no-approx"
 	}
@@ -546,6 +548,34 @@ type simulateResponse struct {
 	Manager *tenantRunInfo `json:"manager,omitempty"`
 }
 
+// cellResponse builds the unmanaged /v1/simulate answer for cell.
+func (s *Server) cellResponse(cell harness.SweepCell, res *harness.Result, cached bool) simulateResponse {
+	cfg := cell.Config
+	if cell.Baseline {
+		cfg = harness.Baseline()
+	}
+	cfg.Scale = s.suite.Scale
+	return simulateResponse{
+		Workload: cell.Workload,
+		Config:   cfg.Name,
+		Key:      harness.CellStoreKey(cell.Workload, cfg).String(),
+		Cached:   cached,
+		Result:   res,
+	}
+}
+
+// cachedAnswer returns the "cached": true answer for a cell that has
+// resolved without error, or ok=false while it has not.  The suite keeps
+// the bytes with the cell, so each cell is encoded once, by writeJSON's
+// own encoding, and every later hit costs a map lookup.
+func (s *Server) cachedAnswer(cell harness.SweepCell) (body []byte, ok bool) {
+	return s.suite.Response(cell, func(res *harness.Result) []byte {
+		var buf bytes.Buffer
+		encodeJSON(&buf, s.cellResponse(cell, res, true))
+		return buf.Bytes()
+	})
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -560,6 +590,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	// Memory-tier hit: the cell is resolved, so there is nothing to wait
+	// for — no goroutine, no timeout, no encoding.  The read slot is
+	// still taken, so admission accounting and 429s are unchanged; if
+	// none is free right now, the queueing path below takes over.
+	if body, ok := s.cachedAnswer(cell); ok {
+		if release, ok := s.tryAcquire(s.readC, "simulate"); ok {
+			release()
+			writeOK(w, body)
+			return
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -588,18 +629,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, o.err)
 			return
 		}
-		cfg := cell.Config
-		if cell.Baseline {
-			cfg = harness.Baseline()
+		if o.executed {
+			writeJSON(w, http.StatusOK, s.cellResponse(cell, o.res, false))
+			return
 		}
-		cfg.Scale = s.suite.Scale
-		writeJSON(w, http.StatusOK, simulateResponse{
-			Workload: cell.Workload,
-			Config:   cfg.Name,
-			Key:      harness.CellStoreKey(cell.Workload, cfg).String(),
-			Cached:   !o.executed,
-			Result:   o.res,
-		})
+		// Served from the store, a remote peer or another caller's run:
+		// the cell has resolved, and this answer fills its bytes if no
+		// earlier one did.
+		body, _ := s.cachedAnswer(cell)
+		writeOK(w, body)
 	case <-ctx.Done():
 		// The simulation keeps running into the suite/store cache; the
 		// client's retry picks it up as a hit.
@@ -816,9 +854,21 @@ func writeJSONCompact(w http.ResponseWriter, code int, v any) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	encodeJSON(w, v)
+}
+
+// encodeJSON is writeJSON's encoding: two-space indent, trailing newline.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone mid-write is its problem
+}
+
+// writeOK writes an already-encoded JSON body with status 200.
+func writeOK(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // client gone mid-write is its problem
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -84,32 +84,43 @@ func regionTrunc(defaults []uint8, override []uint8) []uint8 {
 	return override
 }
 
+// catalog pairs every benchmark's name with its constructor, in Table 2
+// order, so ByName builds only the workload it is asked for.
+var catalog = []struct {
+	name  string
+	build func() *Workload
+}{
+	{"blackscholes", Blackscholes},
+	{"fft", FFT},
+	{"inversek2j", Inversek2j},
+	{"jmeint", Jmeint},
+	{"jpeg", JPEG},
+	{"kmeans", KMeans},
+	{"sobel", Sobel},
+	{"hotspot", Hotspot},
+	{"lavamd", LavaMD},
+	{"srad", SRAD},
+}
+
 // All returns the ten benchmarks in Table 2 order.
 func All() []*Workload {
-	return []*Workload{
-		Blackscholes(),
-		FFT(),
-		Inversek2j(),
-		Jmeint(),
-		JPEG(),
-		KMeans(),
-		Sobel(),
-		Hotspot(),
-		LavaMD(),
-		SRAD(),
+	ws := make([]*Workload, len(catalog))
+	for i, e := range catalog {
+		ws[i] = e.build()
 	}
+	return ws
 }
 
 // ByName returns the named workload or an error listing valid names.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
-	names := make([]string, 0, 10)
-	for _, w := range All() {
-		names = append(names, w.Name)
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, names)
 }

@@ -81,11 +81,20 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%s: no truncation defaults", w.Name)
 		}
 	}
-	if _, err := ByName("sobel"); err != nil {
-		t.Error(err)
+	for _, want := range all {
+		w, err := ByName(want.Name)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if w.Name != want.Name {
+			t.Errorf("ByName(%q) built %q", want.Name, w.Name)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
+	_, err := ByName("nope")
+	const wantErr = `workloads: unknown benchmark "nope" (have [blackscholes fft inversek2j jmeint jpeg kmeans sobel hotspot lavamd srad])`
+	if err == nil || err.Error() != wantErr {
+		t.Errorf("ByName(unknown) error = %v, want %s", err, wantErr)
 	}
 }
 
