@@ -27,14 +27,15 @@
 // replica set (-replicas), reads walk the set in rendezvous order, and
 // fresh results fan out to the other replicas — with R > 1 a dead
 // shard's key range keeps serving from its replicas instead of falling
-// back to local recompute.  Writes bound for a dead peer park as
-// bounded disk-backed hints (-store-dir/hints) and are redelivered
-// when the peer rejoins.  Spawned shards are supervised: the parent
-// reaps a dead child (logging whether it exited by signal or status),
-// restarts it at the same address with capped exponential backoff, and
-// hands it the surviving peers to anti-entropy repair against — the
-// restarted shard pulls the cells it missed (reporting 503 "repairing"
-// on /healthz meanwhile) before rejoining the replica set.  -peers
+// back to local recompute.  Each time membership re-admits a peer as
+// alive, the coordinator runs one anti-entropy pass that copies in the
+// cells of its replica share it missed while away.  Spawned shards are
+// supervised: the parent reaps a dead child (logging whether it exited
+// by signal or status), restarts it at the same address with capped
+// exponential backoff, and hands it the surviving peers to anti-entropy
+// repair against — the restarted shard pulls the cells it missed
+// (reporting 503 "repairing" on /healthz meanwhile) before rejoining
+// the replica set.  -peers
 // joins externally managed daemons instead of spawning; peer identity
 // is positional ("peer-0", ...), so keep the list order stable across
 // restarts to keep key ownership stable.
@@ -167,23 +168,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return cli.Usagef("-peers: no usable addresses in %q", *peerList)
 			}
 		}
-		// Hints survive a coordinator restart when there is a store dir
-		// to root them under; otherwise they live (and die) in memory —
-		// fine either way, since anti-entropy repair re-converges
-		// whatever a lost hint would have carried.
-		hintDir := ""
-		if *storeDir != "" {
-			hintDir = filepath.Join(*storeDir, "hints")
-		}
-		hints, err := cluster.NewHintQueue(hintDir, 0)
-		if err != nil {
-			return err
-		}
+		var err error
 		co, err = cluster.NewCoordinator(cluster.Config{
 			Peers:         peers,
 			Replicas:      *replicas,
 			FailThreshold: *failThreshold,
-			Hints:         hints,
 			CellTimeout:   *reqTimeout,
 			Logf:          func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) },
 		})

@@ -21,21 +21,20 @@
 //     demote peers to dead; a rejoining peer is re-admitted only if
 //     its ResultsVersion matches the coordinator's, otherwise it is
 //     parked as incompatible — excluded from replica reads, write
-//     fan-out, and hint redelivery alike.
+//     fan-out, and rejoin repair alike.
 //
 //   - Coordinator (coordinator.go): the Suite.Remote delegate that
 //     owns the ring, walks replica sets, verifies response checksums,
-//     fans fresh results out to the remaining replicas, and falls back
-//     to local recompute when no replica can answer.
+//     fans fresh results out to the remaining replicas, read-repairs
+//     replicas that failed a read, and falls back to local recompute
+//     when no replica can answer.
 //
-//   - HintQueue (hints.go): hinted handoff.  Replica writes bound for
-//     a down peer park in a bounded, disk-backed per-peer queue and
-//     are redelivered when membership re-admits the peer.
-//
-//   - Repair (repair.go): anti-entropy rejoin repair.  A restarted
-//     peer diffs its store manifest (GET /v1/store/manifest) against
-//     its replica peers and pulls the cells it missed while dead,
-//     before reporting healthy.
+//   - Repair (repair.go): anti-entropy rejoin repair, the one way a
+//     rejoining peer catches up.  Its manifest (GET /v1/store/manifest)
+//     is diffed against its replica peers' and the cells it missed
+//     while away are copied in: by the coordinator each time
+//     membership re-admits the peer as alive, and by a restarted shard
+//     itself before it reports healthy.
 //
 //   - Chaos (chaos.go): a seeded, deterministic fault-injection
 //     transport (in the spirit of internal/fault) that drops requests,
@@ -155,9 +154,10 @@ type CellResponse struct {
 }
 
 // ReplicaWrite pushes one already-computed cell into a replica's store
-// (PUT /v1/store/cells/{key}): the asynchronous write fan-out and the
-// hinted-handoff redelivery both use it.  The receiver verifies the
-// checksum and version before storing; it never executes anything.
+// (PUT /v1/store/cells/{key}): the asynchronous write fan-out,
+// read-repair and the coordinator's rejoin repair pass all use it.
+// The receiver verifies the checksum and version before storing; it
+// never executes anything.
 type ReplicaWrite struct {
 	Version int             `json:"results_version"`
 	Key     string          `json:"key"`
@@ -212,10 +212,9 @@ type PeerHealth struct {
 	State string `json:"state"`
 	// Failures is the current consecutive probe/request failure count.
 	Failures int `json:"failures,omitempty"`
-	// ResultsVersion, StoreEntries, StoreBytes and RepairPulled mirror
-	// the peer's last successful /healthz body.
+	// ResultsVersion, StoreEntries and StoreBytes mirror the peer's
+	// last successful /healthz body.
 	ResultsVersion int   `json:"results_version,omitempty"`
 	StoreEntries   int   `json:"store_entries,omitempty"`
 	StoreBytes     int64 `json:"store_bytes,omitempty"`
-	RepairPulled   int   `json:"repair_pulled,omitempty"`
 }

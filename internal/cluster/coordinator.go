@@ -12,6 +12,7 @@ import (
 
 	"axmemo/internal/harness"
 	"axmemo/internal/obs"
+	"axmemo/internal/store"
 )
 
 // Config assembles a Coordinator.
@@ -34,16 +35,12 @@ type Config struct {
 	// one to tune retries/backoff/hedging or to splice in a chaos
 	// transport.
 	Client *Client
-	// WriteClient delivers replica-write fan-outs and hint redelivery
-	// (nil = a non-hedging two-attempt client sharing Client's
+	// WriteClient carries replica-write fan-outs and rejoin repair
+	// passes (nil = a non-hedging two-attempt client sharing Client's
 	// transport).  Kept separate from the read client so write traffic
 	// never competes for read retries — and so the chaos determinism
 	// tests can keep the seeded fault plan pinned to the read path.
 	WriteClient *Client
-	// Hints, if non-nil, enables hinted handoff: replica writes bound
-	// for a dead peer are queued here and redelivered when membership
-	// re-admits the peer as alive.
-	Hints *HintQueue
 	// Probe checks /healthz (nil = a single-attempt client sharing
 	// Client's transport).
 	Probe *Client
@@ -58,15 +55,15 @@ type Config struct {
 // Coordinator owns the cluster's data path: it rendezvous-hashes every
 // cell's store key onto its replica set, walks the set in rendezvous
 // order with the resilient client, verifies response checksums, fans
-// fresh results out to the remaining replicas (hinting the dead ones),
-// and reports ok=false — falling back to the suite's local tiers —
-// only when every replica of the cell is unreachable.  Install RunCell
-// as harness.Suite.Remote.
+// fresh results out to the remaining alive replicas, and reports
+// ok=false — falling back to the suite's local tiers — only when every
+// replica of the cell is unreachable.  A peer that membership
+// re-admits as alive gets one anti-entropy pass that copies in the
+// cells it missed.  Install RunCell as harness.Suite.Remote.
 type Coordinator struct {
 	members     *Membership
 	client      *Client
 	writeClient *Client
-	hints       *HintQueue
 	replicas    int
 	timeout     time.Duration
 	logf        func(format string, args ...any)
@@ -74,19 +71,19 @@ type Coordinator struct {
 	mu       sync.Mutex
 	closed   bool
 	replCh   chan replJob
-	workerWG sync.WaitGroup
+	workerWG sync.WaitGroup // replica-write workers and rejoin passes
+	stop     context.CancelFunc
+	stopCtx  context.Context // canceled by Close: ends rejoin passes
 
 	forwards   *obs.CounterVec // peer
 	fallbacks  *obs.CounterVec // reason
 	badPayload *obs.Counter
 
-	replWrites    *obs.CounterVec // peer (volatile: async timing)
-	replErrors    *obs.Counter    // volatile
-	replDrops     *obs.Counter    // volatile
-	readRepairs   *obs.Counter    // volatile
-	hintsQueued   *obs.CounterVec // peer (volatile)
-	hintsDeliv    *obs.CounterVec // peer (volatile)
-	hintsRequeued *obs.Counter    // volatile
+	replWrites   *obs.CounterVec // peer (volatile: async timing)
+	replErrors   *obs.Counter    // volatile
+	replDrops    *obs.Counter    // volatile
+	readRepairs  *obs.Counter    // volatile
+	repairPulled *obs.Counter    // volatile
 }
 
 // replJob is one queued replica write.
@@ -97,7 +94,8 @@ type replJob struct {
 
 // replQueueDepth bounds queued-but-undelivered replica writes; beyond
 // it new fan-outs are dropped (and counted) rather than blocking the
-// read path — anti-entropy repair re-converges whatever is dropped.
+// read path — read-repair or the next anti-entropy pass re-converges
+// whatever is dropped.
 const replQueueDepth = 256
 
 // NewCoordinator builds the coordinator and its membership tracker.
@@ -139,11 +137,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		members:     members,
 		client:      client,
 		writeClient: writeClient,
-		hints:       cfg.Hints,
 		replicas:    replicas,
 		timeout:     timeout,
 		logf:        cfg.Logf,
 	}
+	co.stopCtx, co.stop = context.WithCancel(context.Background())
 	members.OnTransition = co.onTransition
 	if replicas > 1 {
 		co.replCh = make(chan replJob, replQueueDepth)
@@ -159,8 +157,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // fallback counts depend only on the key set and the (possibly
 // chaotic) transport verdicts, so they are deterministic for a fixed
 // seed under a serial sweep; hedge launches, replica-write fan-outs
-// and hint traffic are asynchronous wall-clock races and live in
-// Volatile families.
+// and rejoin repair passes are asynchronous wall-clock races and live
+// in Volatile families.
 func (co *Coordinator) Attach(sink *obs.Sink) {
 	reg := sink.Reg()
 	if reg == nil {
@@ -184,12 +182,7 @@ func (co *Coordinator) Attach(sink *obs.Sink) {
 		obs.Opts{Help: "replica writes dropped because the fan-out queue was full", Volatile: true})
 	co.readRepairs = reg.NewCounter("cluster_read_repair_total",
 		obs.Opts{Help: "failed replicas backfilled with a cached result a later replica served", Volatile: true})
-	co.hintsQueued = reg.NewCounterVec("cluster_hints_queued_total",
-		obs.Opts{Help: "replica writes parked as hints for a down peer", Volatile: true}, "peer")
-	co.hintsDeliv = reg.NewCounterVec("cluster_hints_delivered_total",
-		obs.Opts{Help: "hints redelivered to a re-admitted peer", Volatile: true}, "peer")
-	co.hintsRequeued = reg.NewCounter("cluster_hints_requeued_total",
-		obs.Opts{Help: "hint redeliveries that failed and were queued again", Volatile: true})
+	co.repairPulled = AttachRepair(sink)
 	co.writeClient.Retries = reg.NewCounter("cluster_replica_write_retries_total",
 		obs.Opts{Help: "replica write attempts beyond the first", Volatile: true})
 	co.members.Attach(sink)
@@ -211,8 +204,9 @@ func (co *Coordinator) Run(ctx context.Context, probeInterval time.Duration) {
 func (co *Coordinator) Health() *Health { return co.members.Health() }
 
 // Close drains the replica-write fan-out: queued writes are delivered
-// (or hinted) before it returns.  Further fan-outs are dropped.  Reads
-// keep working — Close stops replication, not the coordinator.
+// before it returns.  Further fan-outs are dropped, running rejoin
+// passes are canceled and no new ones start.  Reads keep working —
+// Close stops replication, not the coordinator.
 func (co *Coordinator) Close() {
 	co.mu.Lock()
 	if !co.closed {
@@ -220,6 +214,7 @@ func (co *Coordinator) Close() {
 		if co.replCh != nil {
 			close(co.replCh)
 		}
+		co.stop()
 	}
 	co.mu.Unlock()
 	co.workerWG.Wait()
@@ -312,10 +307,12 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 
 // readRepair backfills the replicas that failed earlier in a read walk
 // with the cached result a later replica served, so the next read of
-// the key can succeed at its first-choice replica again.  Fresh
-// results need no extra pass — replicate already fans them out to the
-// whole set — and dead peers are skipped: their recovery path is
-// hinted handoff and rejoin repair, not per-read writes.
+// the key can succeed at its first-choice replica again.  It is the
+// only path that reaches a replica which stayed alive yet missed a
+// fan-out (dropped at replQueueDepth, or failed delivery), since no
+// rejoin happens for it.  Fresh results need no extra pass — replicate
+// already fans them out to the whole set — and dead peers are skipped:
+// their recovery path is the anti-entropy pass on rejoin.
 func (co *Coordinator) readRepair(key string, resp CellResponse, failed []int) {
 	peers := co.members.Peers()
 	w := ReplicaWrite{Version: co.members.Version, Key: key,
@@ -329,23 +326,18 @@ func (co *Coordinator) readRepair(key string, resp CellResponse, failed []int) {
 	}
 }
 
-// replicate fans a freshly computed cell out to the other members of
-// its replica set: alive peers get an asynchronous replica write, dead
-// peers get a hint for redelivery at rejoin, and incompatible peers
-// get nothing — their version-skewed stores could never serve the key.
+// replicate fans a freshly computed cell out to the other alive
+// members of its replica set as asynchronous replica writes.  Dead
+// peers get the cell from the anti-entropy pass when they rejoin;
+// incompatible peers get nothing — their version-skewed stores could
+// never serve the key.
 func (co *Coordinator) replicate(key string, resp CellResponse, set []int, served int) {
 	peers := co.members.Peers()
 	w := ReplicaWrite{Version: co.members.Version, Key: key,
 		SHA256: resp.SHA256, Result: resp.Result}
 	for _, idx := range set {
-		if idx == served {
-			continue
-		}
-		switch co.members.State(idx) {
-		case StateAlive:
+		if idx != served && co.members.ReplicaEligible(idx) {
 			co.enqueueWrite(peers[idx], w)
-		case StateDead:
-			co.queueHint(peers[idx], w)
 		}
 	}
 }
@@ -367,16 +359,13 @@ func (co *Coordinator) enqueueWrite(p Peer, w ReplicaWrite) {
 }
 
 // replWorker delivers queued replica writes until the channel closes.
+// A failed write is counted and dropped: if the peer died, its rejoin
+// pass copies the cell in; if it stayed alive, read-repair does.
 func (co *Coordinator) replWorker() {
 	defer co.workerWG.Done()
 	for job := range co.replCh {
-		if err := co.deliverWrite(job.peer, job.w); err != nil {
+		if err := co.deliverWrite(context.Background(), job.peer, job.w); err != nil {
 			co.replErrors.Inc()
-			// The peer was alive when we enqueued; if it just died the
-			// hint queue carries the write to its rejoin.
-			if co.members.State(co.peerIndex(job.peer.ID)) == StateDead {
-				co.queueHint(job.peer, job.w)
-			}
 			continue
 		}
 		co.replWrites.With(job.peer.ID).Inc()
@@ -384,8 +373,8 @@ func (co *Coordinator) replWorker() {
 }
 
 // deliverWrite PUTs one cell into a replica's store.
-func (co *Coordinator) deliverWrite(p Peer, w ReplicaWrite) error {
-	ctx, cancel := context.WithTimeout(context.Background(), co.timeout)
+func (co *Coordinator) deliverWrite(ctx context.Context, p Peer, w ReplicaWrite) error {
+	ctx, cancel := context.WithTimeout(ctx, co.timeout)
 	defer cancel()
 	return co.writeClient.Do(ctx, Request{
 		Method: http.MethodPut,
@@ -395,52 +384,60 @@ func (co *Coordinator) deliverWrite(p Peer, w ReplicaWrite) error {
 	})
 }
 
-// peerIndex resolves a peer ID back to its ring index (-1 if unknown).
-func (co *Coordinator) peerIndex(id string) int {
-	for i, p := range co.members.Peers() {
-		if p.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// queueHint parks an undeliverable replica write for redelivery.
-func (co *Coordinator) queueHint(p Peer, w ReplicaWrite) {
-	if co.hints == nil {
-		return
-	}
-	co.hints.Add(p.ID, Hint{Key: w.Key, SHA256: w.SHA256, Result: w.Result})
-	co.hintsQueued.With(p.ID).Inc()
-}
-
-// onTransition is the membership hook: a peer re-admitted as alive
-// gets its queued hints redelivered.  Incompatible peers get nothing —
-// the version-skew exclusion the membership tests pin down.
+// onTransition is the membership hook: a peer re-admitted as alive —
+// from dead or from incompatible — gets one anti-entropy pass.
+// Incompatible peers get nothing: the version-skew exclusion the
+// membership tests pin down.
 func (co *Coordinator) onTransition(i int, p Peer, state string) {
-	if state != StateAlive || co.hints == nil {
+	if state != StateAlive {
 		return
 	}
-	hints := co.hints.Drain(p.ID)
-	if len(hints) == 0 {
+	co.mu.Lock()
+	if co.closed {
+		co.mu.Unlock()
 		return
 	}
-	delivered := 0
-	for _, h := range hints {
-		w := ReplicaWrite{Version: co.members.Version, Key: h.Key,
-			SHA256: h.SHA256, Result: h.Result}
-		if err := co.deliverWrite(p, w); err != nil {
-			// Back in the queue: the peer flapped, the next rejoin
-			// redelivers.  The bound still applies, so a permanently
-			// flapping peer cannot grow an unbounded backlog.
-			co.hints.Add(p.ID, h)
-			co.hintsRequeued.Inc()
-			continue
+	co.workerWG.Add(1)
+	co.mu.Unlock()
+	defer co.workerWG.Done()
+	co.rejoinRepair(co.stopCtx, i, p)
+}
+
+// rejoinRepair copies into peer i every cell it lacks whose replica
+// set includes it, from the other alive peers: the same diff, placement
+// and pull loop a restarted shard runs at boot (Repair), with the
+// rejoined peer's manifest as the have set and a replica write as the
+// put.  Nothing executes anywhere; a cell the pass misses is a future
+// read-repair or recompute, never a wrong answer.
+func (co *Coordinator) rejoinRepair(ctx context.Context, i int, p Peer) {
+	mf, err := fetchManifest(ctx, co.writeClient, p, co.members.Version)
+	if err != nil {
+		if co.logf != nil {
+			co.logf("cluster: rejoin repair of %s: manifest: %v", p.ID, err)
 		}
-		delivered++
-		co.hintsDeliv.With(p.ID).Inc()
+		return
 	}
-	if co.logf != nil && delivered > 0 {
-		co.logf("cluster: redelivered %d/%d hints to rejoined peer %s", delivered, len(hints), p.ID)
+	have := make(map[string]bool, len(mf.Entries))
+	for _, e := range mf.Entries {
+		have[e.Key] = true
+	}
+	peers := co.members.Peers()
+	var donors []Peer
+	for j, q := range peers {
+		if j != i && co.members.ReplicaEligible(j) {
+			donors = append(donors, q)
+		}
+	}
+	cfg := RepairConfig{Peers: donors, Replicas: co.replicas,
+		Version: co.members.Version, Client: co.writeClient, Logf: co.logf}
+	// The only error is ctx's, from Close; the partial stats still count.
+	stats, _ := pullMissing(ctx, cfg, peers, i, have, func(key store.Key, cell CellResponse) error {
+		return co.deliverWrite(ctx, p, ReplicaWrite{Version: co.members.Version,
+			Key: key.String(), SHA256: cell.SHA256, Result: cell.Result})
+	})
+	co.repairPulled.Add(uint64(stats.Pulled))
+	if co.logf != nil && (stats.Pulled > 0 || stats.Failed > 0) {
+		co.logf("cluster: rejoin repair of %s: copied %d cells (%d donors diffed, %d skipped, %d failed)",
+			p.ID, stats.Pulled, stats.PeersDiffed, stats.PeersSkipped, stats.Failed)
 	}
 }

@@ -3,10 +3,13 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"axmemo/internal/harness"
 	"axmemo/internal/obs"
 	"axmemo/internal/server"
+	"axmemo/internal/store"
 )
 
 // shard is one in-process peer daemon: a suite with its own sink behind
@@ -318,9 +322,9 @@ type replicaRun struct {
 // runReplicatedChaoticSweep builds a 3-shard cluster (each shard with
 // its own disk store) behind a seeded chaos transport whose
 // request-count fuse kills shard-1 mid-sweep, coordinates with R=2,
-// and runs a serial sweep over two figures.  Replica writes and hint
-// redelivery ride a separate non-chaotic write client, so the seeded
-// fault plan stays pinned to the deterministic read path.
+// and runs a serial sweep over two figures.  Replica writes and rejoin
+// repair ride a separate non-chaotic write client, so the seeded fault
+// plan stays pinned to the deterministic read path.
 func runReplicatedChaoticSweep(t *testing.T, seed int64) replicaRun {
 	t.Helper()
 	shards := []*storeShard{newStoreShard(t), newStoreShard(t), newStoreShard(t)}
@@ -339,17 +343,12 @@ func runReplicatedChaoticSweep(t *testing.T, seed int64) replicaRun {
 	}, hosts)
 	chaos.KillAfter("shard-1.chaos", 1)
 
-	hints, err := cluster.NewHintQueue("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	co, err := cluster.NewCoordinator(cluster.Config{
 		Peers:         peers,
 		Replicas:      2,
 		FailThreshold: 2,
 		Client:        &cluster.Client{Transport: chaos, Sleep: noSleep, Seed: seed},
 		WriteClient:   &cluster.Client{Transport: hosts, Attempts: 2, Sleep: noSleep},
-		Hints:         hints,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,85 +417,166 @@ func TestClusterReplicaReadDeterministicSweep(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoff: replica writes bound for a killed peer
-// park as hints, and when the peer revives and a probe re-admits it,
-// the hints are redelivered into its store — the peer converges
-// without executing a single cell itself.
-func TestClusterHintedHandoff(t *testing.T) {
+// skewedHealthz makes one host's /healthz report a foreign
+// ResultsVersion while skew is set, so membership parks that peer
+// incompatible; every other request passes through untouched.
+type skewedHealthz struct {
+	next http.RoundTripper
+	host string
+	skew atomic.Bool
+}
+
+func (s *skewedHealthz) RoundTrip(r *http.Request) (*http.Response, error) {
+	if s.skew.Load() && r.URL.Host == s.host && r.URL.Path == "/healthz" {
+		body := fmt.Sprintf(`{"status":"ok","results_version":%d}`, harness.ResultsVersion+1)
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(body)), Request: r}, nil
+	}
+	return s.next.RoundTrip(r)
+}
+
+// TestClusterRejoinRepair: a replica that is down for a whole sweep
+// converges, once membership re-admits it as alive, to exactly the
+// sweep cells whose replica set includes it — copied in by the
+// coordinator's anti-entropy pass, with no restart and no execution on
+// the rejoined peer.  A peer that first rejoins version-skewed
+// (incompatible) receives nothing until it rejoins compatible.
+func TestClusterRejoinRepair(t *testing.T) {
 	refText, _ := reference(t, "ABL-RATE")
-
-	shards := []*storeShard{newStoreShard(t), newStoreShard(t), newStoreShard(t)}
-	hosts := hostRewriter{real: make(map[string]string)}
-	peers := make([]cluster.Peer, len(shards))
-	for i, sh := range shards {
-		stable := "shard-" + string(rune('0'+i)) + ".chaos"
-		hosts.real[stable] = sh.addr()
-		peers[i] = cluster.Peer{ID: "shard-" + string(rune('0'+i)), Addr: stable}
-	}
-	chaos := cluster.NewChaos(cluster.ChaosPlan{}, hosts)
-	chaos.Kill("shard-1.chaos") // down from the start: every write to it must hint
-
-	hints, err := cluster.NewHintQueue(t.TempDir(), 0)
+	sweep, err := harness.SweepCells("ABL-RATE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := cluster.NewCoordinator(cluster.Config{
-		Peers:         peers,
-		Replicas:      2,
-		FailThreshold: 1,
-		Client:        &cluster.Client{Transport: chaos, Sleep: noSleep},
-		WriteClient:   &cluster.Client{Transport: chaos, Attempts: 1, Sleep: noSleep},
-		Hints:         hints,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	suite, _ := coordSuite(t, co, 1)
+	for _, tc := range []struct {
+		name         string
+		incompatible bool
+	}{
+		{"dead to alive", false},
+		{"dead to incompatible to alive", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := []*storeShard{newStoreShard(t), newStoreShard(t), newStoreShard(t)}
+			hosts := hostRewriter{real: make(map[string]string)}
+			peers := make([]cluster.Peer, len(shards))
+			for i, sh := range shards {
+				stable := "shard-" + string(rune('0'+i)) + ".chaos"
+				hosts.real[stable] = sh.addr()
+				peers[i] = cluster.Peer{ID: "shard-" + string(rune('0'+i)), Addr: stable}
+			}
+			skew := &skewedHealthz{next: hosts, host: "shard-1.chaos"}
+			chaos := cluster.NewChaos(cluster.ChaosPlan{}, skew)
+			chaos.Kill("shard-1.chaos") // down from the start
 
-	fig, err := suite.Generate("ABL-RATE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.String() != refText {
-		t.Fatal("sweep over a dead replica rendered different bytes")
-	}
-	// Let the asynchronous fan-out settle: in-flight replica writes to
-	// the dead peer become hints once the workers see it dead.
-	deadline := time.Now().Add(5 * time.Second)
-	for hints.Pending("shard-1") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no hints queued for the killed replica")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := execCount(shards[1].suite); got != 0 {
-		t.Fatalf("dead shard executed %d cells", got)
-	}
+			co, err := cluster.NewCoordinator(cluster.Config{
+				Peers:         peers,
+				Replicas:      2,
+				FailThreshold: 1,
+				Client:        &cluster.Client{Transport: chaos, Sleep: noSleep},
+				WriteClient:   &cluster.Client{Transport: chaos, Attempts: 1, Sleep: noSleep},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			suite, sink := coordSuite(t, co, 1)
+			pulled := sink.Reg().NewCounter("cluster_repair_pulled_total", obs.Opts{})
 
-	// Revive; the next probe re-admits the peer, which triggers the
-	// redelivery hook.  Everything queued lands in shard-1's store.
-	chaos.Revive("shard-1.chaos")
-	queued := hints.Pending("shard-1")
-	co.Members().ProbeAll(context.Background())
-	for hints.Pending("shard-1") > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hints not redelivered: %d still pending", hints.Pending("shard-1"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Redelivery is store traffic, not execution: the rejoined peer
-	// holds at least the hinted cells and still ran nothing.
-	deadline = time.Now().Add(5 * time.Second)
-	for shards[1].st.Stats().Entries < queued {
-		if time.Now().After(deadline) {
-			t.Fatalf("rejoined shard store has %d cells, want >= %d hinted",
-				shards[1].st.Stats().Entries, queued)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := execCount(shards[1].suite); got != 0 {
-		t.Fatalf("rejoined shard executed %d cells, want 0 (hints are writes)", got)
+			// Mark shard-1 dead before any cell moves, so no read walk or
+			// fan-out ever targets it: every cell it ends up holding must
+			// come from the rejoin pass.
+			co.Members().ProbeAll(context.Background())
+			if st := co.Members().State(1); st != cluster.StateDead {
+				t.Fatalf("killed shard state = %s, want dead", st)
+			}
+			fig, err := suite.Generate("ABL-RATE")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fig.String() != refText {
+				t.Fatal("sweep over a dead replica rendered different bytes")
+			}
+			if n := shards[1].st.Stats().Entries; n != 0 {
+				t.Fatalf("dead shard holds %d cells before rejoining, want 0", n)
+			}
+
+			// The sweep's keys are every cell the live shards executed;
+			// shard-1's share is those whose replica set includes it.
+			swept := make(map[string]bool)
+			for _, sh := range []*storeShard{shards[0], shards[2]} {
+				for _, e := range sh.st.Manifest() {
+					swept[e.Key] = true
+				}
+			}
+			if len(swept) != len(sweep) {
+				t.Fatalf("live shards hold %d distinct cells, want the sweep's %d", len(swept), len(sweep))
+			}
+			want := make(map[string]bool)
+			for k := range swept {
+				key, err := store.ParseKey(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, idx := range cluster.Owners(peers, key, 2) {
+					if idx == 1 {
+						want[k] = true
+					}
+				}
+			}
+			if len(want) == 0 || len(want) == len(swept) {
+				t.Fatalf("degenerate placement: shard-1 owns %d of %d cells", len(want), len(swept))
+			}
+
+			chaos.Revive("shard-1.chaos")
+			if tc.incompatible {
+				skew.skew.Store(true)
+				co.Members().ProbeAll(context.Background())
+				if st := co.Members().State(1); st != cluster.StateIncompatible {
+					t.Fatalf("skewed shard state = %s, want incompatible", st)
+				}
+				// The hook runs in its own goroutine; give a wrongly
+				// started pass time to land before asserting it did not.
+				time.Sleep(200 * time.Millisecond)
+				if n := shards[1].st.Stats().Entries; n != 0 {
+					t.Fatalf("incompatible shard received %d cells, want 0", n)
+				}
+				if n := pulled.Value(); n != 0 {
+					t.Fatalf("cluster_repair_pulled_total = %d for an incompatible rejoin, want 0", n)
+				}
+				skew.skew.Store(false)
+			}
+			co.Members().ProbeAll(context.Background())
+			if st := co.Members().State(1); st != cluster.StateAlive {
+				t.Fatalf("rejoined shard state = %s, want alive", st)
+			}
+
+			deadline := time.Now().Add(10 * time.Second)
+			for pulled.Value() < uint64(len(want)) {
+				if time.Now().After(deadline) {
+					t.Fatalf("rejoin pass copied %d cells, want %d", pulled.Value(), len(want))
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			got := make(map[string]bool)
+			for _, e := range shards[1].st.Manifest() {
+				got[e.Key] = true
+			}
+			for k := range want {
+				if !got[k] {
+					t.Errorf("rejoined shard lacks %.16s, which its replica set includes", k)
+				}
+			}
+			for k := range got {
+				if !want[k] {
+					t.Errorf("rejoined shard holds %.16s, outside its replica share", k)
+				}
+			}
+			if n := pulled.Value(); n != uint64(len(want)) {
+				t.Errorf("cluster_repair_pulled_total = %d, want %d", n, len(want))
+			}
+			if n := execCount(shards[1].suite); n != 0 {
+				t.Fatalf("rejoined shard executed %d cells, want 0 (repair copies, never runs)", n)
+			}
+		})
 	}
 }
 

@@ -42,8 +42,8 @@ type Membership struct {
 	Logf func(format string, args ...any)
 	// OnTransition, if non-nil, is invoked (in its own goroutine, so it
 	// may do I/O) after a peer changes state.  The coordinator hangs
-	// hinted-handoff redelivery here: a peer re-admitted as alive gets
-	// its queued hints; a peer parked as incompatible gets nothing —
+	// rejoin repair here: a peer re-admitted as alive gets one
+	// anti-entropy pass; a peer parked as incompatible gets nothing —
 	// version-skewed stores must not receive our cells.
 	OnTransition func(i int, p Peer, state string)
 
@@ -114,7 +114,7 @@ func (m *Membership) Alive(i int) bool {
 // ReplicaEligible reports whether peer i may hold replicas of our
 // cells: it must be alive AND version-compatible.  A rejoining peer
 // with a mismatched ResultsVersion is parked incompatible, which
-// excludes it from replica reads, write fan-out, and hint redelivery
+// excludes it from replica reads, write fan-out, and rejoin repair
 // alike — its keys could never match ours, so sending it cells would
 // only waste its disk and our bandwidth.  (Today this coincides with
 // Alive, because version skew always parks a peer in its own state;
@@ -151,8 +151,9 @@ func (m *Membership) transitionLocked(i int, state, why string) {
 		m.Logf("cluster: peer %s (%s) -> %s (%s)", m.peers[i].ID, m.peers[i].Addr, state, why)
 	}
 	if m.OnTransition != nil {
-		// Own goroutine: the hook does I/O (hint redelivery) and must
-		// neither hold the membership lock nor delay the caller's path.
+		// Own goroutine: the hook does I/O (a rejoin repair pass) and
+		// must neither hold the membership lock nor delay the caller's
+		// path.
 		go m.OnTransition(i, m.peers[i], state)
 	}
 }

@@ -149,8 +149,8 @@ func TestMembershipDataPathFailures(t *testing.T) {
 // replicas of our cells.  A dead peer is excluded until it rejoins; a
 // rejoining peer with a mismatched ResultsVersion parks incompatible
 // and is excluded from replica sets AND from the rejoin hook that
-// triggers hint redelivery — the coordinator only redelivers on a
-// transition to alive, which a skewed peer never makes.
+// triggers the coordinator's anti-entropy pass — the coordinator only
+// repairs on a transition to alive, which a skewed peer never makes.
 func TestMembershipReplicaEligibility(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,7 +159,7 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 		wantState    string
 		wantEligible bool
 		// wantRejoinHook: does the driven transition sequence end on the
-		// alive transition the coordinator hangs hint redelivery on?
+		// alive transition the coordinator hangs its rejoin repair on?
 		wantRejoinHook bool
 	}{
 		{
@@ -190,7 +190,7 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 			},
 			wantState:      StateAlive,
 			wantEligible:   true,
-			wantRejoinHook: true, // the re-admission: hints flow now
+			wantRejoinHook: true, // the re-admission: the repair pass runs now
 		},
 		{
 			name: "rejoin with mismatched results_version",
@@ -300,5 +300,52 @@ func TestOwnerRendezvous(t *testing.T) {
 	}
 	if Owner(nil, store.KeyOf("x")) != -1 {
 		t.Fatal("empty peer set must report -1")
+	}
+}
+
+// TestOwnersReplicaSets pins the replica-set generalization: the
+// primary is Owner, sets are deterministic, distinct, clamped, and —
+// what replication relies on — every peer appears in a fair share of
+// replica sets.
+func TestOwnersReplicaSets(t *testing.T) {
+	peers := []Peer{{ID: "shard-0"}, {ID: "shard-1"}, {ID: "shard-2"}, {ID: "shard-3"}}
+	inSet := make([]int, len(peers))
+	for i := 0; i < 300; i++ {
+		k := store.KeyOf("cell", fmt.Sprint(i))
+		set := Owners(peers, k, 2)
+		if len(set) != 2 {
+			t.Fatalf("Owners r=2 returned %d peers", len(set))
+		}
+		if set[0] == set[1] {
+			t.Fatalf("replica set %v repeats a peer", set)
+		}
+		if set[0] != Owner(peers, k) {
+			t.Fatal("Owners[0] is not the primary Owner")
+		}
+		// The set is a prefix-stable ranking: r=3 extends r=2.
+		set3 := Owners(peers, k, 3)
+		if set3[0] != set[0] || set3[1] != set[1] {
+			t.Fatalf("Owners r=3 %v does not extend r=2 %v", set3, set)
+		}
+		for _, idx := range set {
+			inSet[idx]++
+		}
+	}
+	for i, n := range inSet {
+		if n < 75 { // fair share of 600 slots across 4 peers is 150
+			t.Fatalf("peer %d appears in only %d/300 replica sets: %v", i, n, inSet)
+		}
+	}
+	// Clamping: r too large returns every peer exactly once; r < 1 acts
+	// as 1; the empty set stays empty.
+	k := store.KeyOf("cell", "clamp")
+	if got := Owners(peers, k, 99); len(got) != len(peers) {
+		t.Fatalf("Owners r=99 = %v, want all %d peers", got, len(peers))
+	}
+	if got := Owners(peers, k, 0); len(got) != 1 {
+		t.Fatalf("Owners r=0 = %v, want the primary only", got)
+	}
+	if got := Owners(nil, k, 2); got != nil {
+		t.Fatalf("Owners over no peers = %v, want nil", got)
 	}
 }

@@ -1,16 +1,15 @@
 package cluster
 
-// Anti-entropy rejoin repair: a shard that was dead missed every cell
-// computed while it was down.  Hinted handoff covers the writes the
-// coordinator managed to queue, but hints are bounded and the
-// coordinator itself may have restarted — so on boot a rejoining shard
-// *pulls* itself back into convergence: it fetches each replica peer's
-// store manifest (GET /v1/store/manifest, the sorted-by-key segment
-// index from PR 7), diffs it against its own, and for every missing
-// key that rendezvous-hashes this shard into the top-R replica set,
-// fetches the cell (GET /v1/store/cells/{key}) and stores it.  Only
-// after the pull completes does the shard report healthy, so the
-// membership probes re-admit a repaired peer, never a hollow one.
+// Anti-entropy repair: a peer that was dead (or version-skewed) missed
+// every cell computed meanwhile.  Repair brings it back into
+// convergence by diffing manifests: it fetches each donor peer's store
+// manifest (GET /v1/store/manifest, the sorted-by-key segment index),
+// and for every key the rejoiner lacks whose top-R replica set
+// includes the rejoiner, fetches the cell (GET /v1/store/cells/{key}),
+// verifies its checksum, and stores it.  Two callers run the same
+// loop: a restarted shard pulls into its own store at boot (Repair),
+// and the coordinator pushes into a peer that membership re-admits as
+// alive (Coordinator.rejoinRepair).
 //
 // Version-skewed peers are skipped outright: their ResultsVersion is
 // baked into every one of their keys, so nothing they hold could ever
@@ -20,7 +19,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -65,15 +63,37 @@ type RepairStats struct {
 	Failed int
 }
 
-// Repair runs one anti-entropy pass and returns its stats.  It is
-// incremental-safe: pulling a cell twice just overwrites the identical
-// bytes, and any failure leaves the store no worse than before — a
-// missing cell is always a recompute, never an error.
+// Repair runs one anti-entropy pass into cfg.Store and returns its
+// stats.  It is incremental-safe: pulling a cell twice just overwrites
+// the identical bytes, and any failure leaves the store no worse than
+// before — a missing cell is always a recompute, never an error.
 func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
-	var st RepairStats
 	if cfg.Store == nil {
-		return st, fmt.Errorf("cluster: repair needs a store")
+		return RepairStats{}, fmt.Errorf("cluster: repair needs a store")
 	}
+	// The placement universe is the full peer set including ourselves;
+	// rendezvous scores depend only on IDs, so this matches what every
+	// coordinator computes.
+	ring := append(append([]Peer{}, cfg.Peers...), Peer{ID: cfg.Self})
+	have := make(map[string]bool)
+	for _, e := range cfg.Store.Manifest() {
+		have[e.Key] = true
+	}
+	return pullMissing(ctx, cfg, ring, len(ring)-1, have,
+		func(key store.Key, cell CellResponse) error {
+			return cfg.Store.Put(key, cell.Result)
+		})
+}
+
+// pullMissing is the diff/placement/pull loop every anti-entropy pass
+// runs: for each donor in cfg.Peers, fetch its manifest, and for every
+// key not in have whose top-R set over ring includes ring[self], fetch
+// and verify the cell from that donor and hand it to put.  have gains
+// each key put accepts, so later donors skip it.  ring and self stand
+// in for cfg.Self, and put for cfg.Store.
+func pullMissing(ctx context.Context, cfg RepairConfig, ring []Peer, self int,
+	have map[string]bool, put func(store.Key, CellResponse) error) (RepairStats, error) {
+	var st RepairStats
 	client := cfg.Client
 	if client == nil {
 		client = &Client{}
@@ -82,38 +102,12 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-
-	// The placement universe is the full peer set including ourselves;
-	// rendezvous scores depend only on IDs, so this matches what every
-	// coordinator computes.
-	ring := append(append([]Peer{}, cfg.Peers...), Peer{ID: cfg.Self})
-	self := len(ring) - 1
-
-	have := make(map[string]bool)
-	for _, e := range cfg.Store.Manifest() {
-		have[e.Key] = true
-	}
-
 	for _, p := range cfg.Peers {
-		var mf Manifest
-		err := client.Do(ctx, Request{
-			Method: http.MethodGet,
-			URL:    p.URL() + "/v1/store/manifest",
-			Out:    &mf,
-			Key:    "manifest/" + p.ID,
-		})
+		mf, err := fetchManifest(ctx, client, p, cfg.Version)
 		if err != nil {
 			st.PeersSkipped++
 			if cfg.Logf != nil {
 				cfg.Logf("cluster: repair: skipping %s: %v", p.ID, err)
-			}
-			continue
-		}
-		if cfg.Version != 0 && mf.ResultsVersion != cfg.Version {
-			st.PeersSkipped++
-			if cfg.Logf != nil {
-				cfg.Logf("cluster: repair: skipping %s: ResultsVersion %d, want %d",
-					p.ID, mf.ResultsVersion, cfg.Version)
 			}
 			continue
 		}
@@ -129,7 +123,11 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 			if !containsIndex(Owners(ring, key, replicas), self) {
 				continue // not our cell: its replicas keep it
 			}
-			if err := pullCell(ctx, client, p, key, cfg.Store); err != nil {
+			cell, err := fetchCell(ctx, client, p, key)
+			if err == nil {
+				err = put(key, cell)
+			}
+			if err != nil {
 				st.Failed++
 				if cfg.Logf != nil {
 					cfg.Logf("cluster: repair: pulling %.16s from %s: %v", e.Key, p.ID, err)
@@ -146,9 +144,25 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 	return st, nil
 }
 
-// pullCell fetches one stored cell from a peer, verifies its checksum,
-// and stores the raw payload locally (byte-identical to the origin).
-func pullCell(ctx context.Context, client *Client, p Peer, key store.Key, st *store.Store) error {
+// fetchManifest GETs a peer's store manifest, rejecting one stamped
+// with a ResultsVersion other than version (0 = accept any).
+func fetchManifest(ctx context.Context, client *Client, p Peer, version int) (Manifest, error) {
+	var mf Manifest
+	err := client.Do(ctx, Request{
+		Method: http.MethodGet,
+		URL:    p.URL() + "/v1/store/manifest",
+		Out:    &mf,
+		Key:    "manifest/" + p.ID,
+	})
+	if err == nil && version != 0 && mf.ResultsVersion != version {
+		err = fmt.Errorf("ResultsVersion %d, want %d", mf.ResultsVersion, version)
+	}
+	return mf, err
+}
+
+// fetchCell GETs one stored cell from a peer and verifies its
+// checksum; Result is the origin's raw payload, byte for byte.
+func fetchCell(ctx context.Context, client *Client, p Peer, key store.Key) (CellResponse, error) {
 	var resp CellResponse
 	err := client.Do(ctx, Request{
 		Method: http.MethodGet,
@@ -163,22 +177,20 @@ func pullCell(ctx context.Context, client *Client, p Peer, key store.Key, st *st
 			return nil
 		},
 	})
-	if err != nil {
-		return err
-	}
-	return st.Put(key, json.RawMessage(resp.Result))
+	return resp, err
 }
 
 // AttachRepair registers the repair metric family and returns the
-// counter a daemon bumps after each pass (Volatile: what a repair
-// pulls depends on crash/restart timing, never on the seeded sweep).
+// counter a daemon or coordinator bumps after each pass (Volatile: what
+// a repair pulls depends on crash/restart timing, never on the seeded
+// sweep).
 func AttachRepair(sink *obs.Sink) *obs.Counter {
 	reg := sink.Reg()
 	if reg == nil {
 		return nil
 	}
 	return reg.NewCounter("cluster_repair_pulled_total",
-		obs.Opts{Help: "cells pulled from replica peers by rejoin repair", Volatile: true})
+		obs.Opts{Help: "cells copied to a rejoining peer by anti-entropy repair", Volatile: true})
 }
 
 // containsIndex reports whether set contains i.

@@ -435,9 +435,9 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStorePut is the replica-write route: a coordinator (write
-// fan-out, hint redelivery) pushes an already-computed cell straight
-// into this shard's store.  Nothing is executed; the payload is
-// checksum- and version-gated so a corrupted or skewed write is
+// fan-out, read-repair, rejoin repair) pushes an already-computed cell
+// straight into this shard's store.  Nothing is executed; the payload
+// is checksum- and version-gated so a corrupted or skewed write is
 // rejected instead of stored.
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	st := s.suite.Store

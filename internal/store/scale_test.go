@@ -245,9 +245,11 @@ func TestTornTrailingRecordTolerated(t *testing.T) {
 	}
 }
 
-// TestLegacyIndexMigrated seeds a pre-segment index.json and opens the
-// store: the boot reads it (Source "legacy"), migrates the table into
-// segments, and retires the old file.
+// TestLegacyIndexMigrated opens a pre-segment store directory (blobs
+// plus the monolithic index.json that preceded segments, no index/
+// directory): the boot ignores the stray file, rebuilds the table by
+// scanning the blobs (Source "scan"), keeps every entry, and leaves
+// segments behind so the next boot is a replay.
 func TestLegacyIndexMigrated(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -263,8 +265,8 @@ func TestLegacyIndexMigrated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewind history: fabricate the legacy monolithic index and delete
-	// the segments, as if a pre-segment store were being upgraded.
+	// Rewind history: drop the segments and leave a stray monolithic
+	// index, as a pre-segment store directory would look.
 	legacy := `{"schema":1,"seq":6,"entries":[`
 	for i := 0; i < 6; i++ {
 		if i > 0 {
@@ -273,7 +275,7 @@ func TestLegacyIndexMigrated(t *testing.T) {
 		legacy += fmt.Sprintf(`{"key":%q,"size":1,"last_used":%d}`, scaleKey(i).String(), i+1)
 	}
 	legacy += `]}`
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(legacy), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.RemoveAll(filepath.Join(dir, segDirName)); err != nil {
@@ -284,24 +286,29 @@ func TestLegacyIndexMigrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	boot := s2.Boot()
-	if boot.Source != "legacy" {
-		t.Fatalf("boot source = %q, want legacy", boot.Source)
+	if boot.Source != "scan" {
+		t.Fatalf("boot source = %q, want scan", boot.Source)
 	}
 	if boot.BlobsStatted != 6 {
-		t.Fatalf("legacy boot statted %d blobs, want 6", boot.BlobsStatted)
+		t.Fatalf("scan statted %d blobs, want 6 (index.json is not a blob)", boot.BlobsStatted)
 	}
 	for i := 0; i < 6; i++ {
 		var p scalePayload
 		if !s2.Get(scaleKey(i), &p) || p.N != i {
-			t.Fatalf("entry %d lost in migration", i)
+			t.Fatalf("entry %d lost in the scan", i)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, indexName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy index.json not retired: %v", err)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, segDirName, segPrefix+"*"+segSuffix)); len(segs) == 0 {
-		t.Fatal("migration wrote no segments")
+
+	s3, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.Boot().Source; got != "segments" {
+		t.Fatalf("post-scan boot source = %q, want segments", got)
 	}
 }

@@ -97,9 +97,9 @@ func TestIndexRebuildFromScan(t *testing.T) {
 	if err := s.Put(k, payload{Name: "scanned"}); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the index and leave a stale temp file: Open must rebuild
+	// Lose the index and leave a stale temp file: Open must rebuild
 	// from the blobs and sweep the temp.
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("not json"), 0o644); err != nil {
+	if err := os.RemoveAll(filepath.Join(dir, segDirName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ".tmp-stale"), []byte("half a write"), 0o644); err != nil {
@@ -109,6 +109,9 @@ func TestIndexRebuildFromScan(t *testing.T) {
 	s2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := s2.Boot().Source; got != "scan" {
+		t.Fatalf("boot source = %q, want scan", got)
 	}
 	var got payload
 	if !s2.Get(k, &got) || got.Name != "scanned" {
